@@ -8,7 +8,7 @@ PP := PYTHONPATH=src
 	incremental-differential \
 	lane-differential backend-differential bench-smoke bench \
 	bench-frontend bench-core bench-incremental bench-fleet \
-	bench-lanes profile server-smoke fleet-smoke
+	bench-lanes bench-harness profile server-smoke fleet-smoke
 
 # Tier-1 gate: the full unit/integration/property suite.
 test:
@@ -129,6 +129,13 @@ bench-fleet:
 # throughout.  Resize with CK_LANE_BENCH_PROCS / CK_LANE_BENCH_REPEATS.
 bench-lanes:
 	$(PP) $(PY) -m pytest -q benchmarks/test_bench_lanes.py -s
+
+# The repository benchmark's own tests (ckbench/tests, ~1 min): tiny
+# traced and untraced runs of every workload.  The tracer wraps about
+# 30 src/ entry points by name, so a rename that breaks a traced run
+# fails here rather than in the next benchmark run.
+bench-harness:
+	$(PY) -m pytest ckbench/tests -q
 
 # Where does the time go?  Per-phase breakdown + cProfile hot spots on
 # a generated workload (see `ck-analyze profile --help` for knobs).

@@ -42,7 +42,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Set
 
-from repro.core.aliases import AliasResult, Pair, _pair
+from repro.core.aliases import AliasResult, Pair
 from repro.core.varsets import VariableUniverse
 from repro.lang.symbols import ResolvedProgram
 
@@ -109,7 +109,7 @@ def compute_dyck_aliases(
                 if b == a or not (extant >> b) & 1:
                     continue
                 if origin_a & origin[b]:
-                    pair_set.add(_pair(a, b))
+                    pair_set.add(frozenset((a, b)))
         out.append(pair_set)
     return out
 

@@ -23,6 +23,19 @@ with by-reference bindings ``a_i ↦ f_i``:
    hold on entry to the enclosing procedure still holds, for the
    statically-linked instances, when a nested procedure is entered.
 
+There is exactly one solver for these rules, :func:`solve_aliases`, a
+worklist over procedures whose only state is what step (2) below reads:
+per procedure a *partner table* (uid → mask of its may-alias partners)
+and a *domain mask* (the table's key set).  Its three entry points
+differ only in the initial tables and the seed order —
+:func:`compute_aliases` (from scratch), :func:`compute_aliases_incremental`
+(final tables carried forward by reference) and the ``refalias`` lane
+(:mod:`repro.lanes.refalias`).  Pair sets are never maintained; the
+consumers that want pairs read them off the masks on demand
+(:func:`sorted_pairs` for persistence and the dependency index,
+:attr:`AliasResult.pairs`, derived once per result, for the Dyck
+baseline).
+
 Then, per the paper's step (2)::
 
     ∀ x ∈ DMOD(s):  if ⟨x, y⟩ ∈ ALIAS(p)  then  add y to MOD(s)
@@ -34,371 +47,280 @@ the paper notes is unavoidable for any summary computation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import (
+    Callable,
+    Dict,
+    FrozenSet,
+    Iterable,
+    List,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
-from repro.core.bitvec import OpCounter, mask_of
+from repro.core.arena import peek_arena
+from repro.core.bitvec import OpCounter
 from repro.core.varsets import VariableUniverse
 from repro.lang.symbols import ProcSymbol, ResolvedProgram, VarSymbol
 
 Pair = FrozenSet[int]  # A pair of variable uids (frozenset of size 2).
 
 
-def _pair(a: int, b: int) -> Pair:
-    return frozenset((a, b))
+def sorted_pairs(table: Dict[int, int]) -> List[Tuple[int, int]]:
+    """Each pair of a partner table once, as ``(a, b)`` with ``a < b``,
+    in ascending order."""
+    out = []
+    for a in sorted(table):
+        higher = table[a] >> (a + 1)
+        base = a + 1
+        while higher:
+            low = higher & -higher
+            out.append((a, base + low.bit_length() - 1))
+            higher ^= low
+    return out
 
 
-@dataclass
 class AliasResult:
-    """``ALIAS(p)`` for every procedure, as sets of uid pairs."""
+    """``ALIAS(p)`` for every procedure, as partner and domain masks."""
 
-    resolved: ResolvedProgram
-    pairs: List[Set[Pair]]
-    #: Per pid: uid -> mask of uids it may be aliased to on entry.
-    partner_mask: List[Dict[int, int]] = field(default_factory=list)
-    #: Per pid: mask of uids that have at least one alias partner (the
-    #: key set of ``partner_mask[pid]`` as a mask).  Lets the factoring
-    #: step detect "no pair of this set is aliased" with one AND.
-    domain_mask: List[int] = field(default_factory=list)
+    def __init__(
+        self,
+        resolved: ResolvedProgram,
+        partner_mask: List[Dict[int, int]],
+        domain_mask: List[int],
+    ):
+        self.resolved = resolved
+        #: Per pid: uid -> mask of uids it may be aliased to on entry.
+        self.partner_mask = partner_mask
+        #: Per pid: mask of uids that have at least one alias partner
+        #: (the key set of ``partner_mask[pid]``).  Lets the factoring
+        #: step detect "no pair of this set is aliased" with one AND.
+        self.domain_mask = domain_mask
+        self._pairs: Optional[List[Set[Pair]]] = None
+
+    @property
+    def pairs(self) -> List[Set[Pair]]:
+        """Per pid, the alias pairs as uid frozensets — derived from the
+        masks on first use and kept."""
+        if self._pairs is None:
+            self._pairs = [
+                {frozenset(pair) for pair in sorted_pairs(table)}
+                for table in self.partner_mask
+            ]
+        return self._pairs
 
     def pairs_of(self, proc: ProcSymbol) -> Set[Pair]:
         return self.pairs[proc.pid]
 
     def total_pairs(self) -> int:
-        return sum(len(pair_set) for pair_set in self.pairs)
+        return sum(
+            mask.bit_count() for table in self.partner_mask for mask in table.values()
+        ) // 2
 
     def may_alias(self, proc: ProcSymbol, a: VarSymbol, b: VarSymbol) -> bool:
-        return _pair(a.uid, b.uid) in self.pairs[proc.pid]
+        return bool((self.partner_mask[proc.pid].get(a.uid, 0) >> b.uid) & 1)
 
-    def domains(self) -> List[int]:
-        """``domain_mask``, derived from ``partner_mask`` when this
-        result was built by hand (tests construct AliasResult directly)."""
-        if not self.domain_mask and self.partner_mask:
-            self.domain_mask = [
-                mask_of(partners.keys()) for partners in self.partner_mask
-            ]
-        return self.domain_mask
+    def name_pairs(self) -> Dict[str, List[List[str]]]:
+        """Per procedure qualified name, its pairs as sorted name pairs
+        in sorted order — the serialized form, independent of the order
+        the solver grew the tables in."""
+        names = [var.qualified_name for var in self.resolved.variables]
+        return {
+            proc.qualified_name: sorted(
+                sorted([names[a], names[b]])
+                for a, b in sorted_pairs(self.partner_mask[proc.pid])
+            )
+            for proc in self.resolved.procs
+        }
 
 
-def compute_aliases(
+def _ref_sites(resolved: ResolvedProgram) -> Callable[[int], List]:
+    """Per caller pid, its call sites as ``(callee pid, [(formal uid,
+    actual uid), ...])`` over the by-reference bindings — decoded on a
+    caller's first visit (an incremental drain touches only its region).
+    Sites without by-reference bindings feed no rule and are dropped."""
+    by_caller: List[List] = [[] for _ in range(resolved.num_procs)]
+    for site in resolved.call_sites:
+        by_caller[site.caller.pid].append(site)
+    decoded: List[Optional[List]] = [None] * resolved.num_procs
+
+    def sites_of(pid: int) -> List:
+        sites = decoded[pid]
+        if sites is None:
+            sites = []
+            for site in by_caller[pid]:
+                formals = site.callee.formals
+                ref = [
+                    (formals[b.position].uid, b.base.uid)
+                    for b in site.bindings
+                    if b.by_reference
+                ]
+                if ref:
+                    sites.append((site.callee.pid, ref))
+            decoded[pid] = sites
+        return sites
+
+    return sites_of
+
+
+def solve_aliases(
     resolved: ResolvedProgram,
     universe: VariableUniverse,
-    counter: Optional[OpCounter] = None,
-    initial_pairs: Optional[List[Set[Pair]]] = None,
-    seed_pids: Optional[List[int]] = None,
+    order: Sequence[int],
+    partner: Optional[List[Dict[int, int]]] = None,
+    domain: Optional[List[int]] = None,
 ) -> AliasResult:
-    """Fixpoint of the introduction rules over the call multi-graph.
+    """The least fixpoint of rules 1–5, grown from ``partner``/``domain``
+    (empty by default) with ``order`` as the initial worklist.
 
-    ``initial_pairs``/``seed_pids`` support warm starts for incremental
-    re-analysis: pair sets known to be final may be pre-seeded and the
-    worklist restricted to the procedures whose contributions may have
-    changed (the caller is responsible for the region argument — see
-    :mod:`repro.core.incremental`).  Pre-seeded values must be *subsets
-    or exact*: the rules only ever add pairs.
+    Pairs flow caller → callee (rules 1–4) and parent → nested (rule 5),
+    so ``order`` is best callers first; any order reaches the same
+    fixpoint, because the rules only add pairs and every procedure whose
+    table grows is requeued.  A caller-supplied table must already be a
+    subset of its final value; tables that already hold their final
+    value are read but never written, which is what lets
+    :func:`compute_aliases_incremental` share them with an older result.
     """
-    if counter is None:
-        counter = OpCounter()
     num_procs = resolved.num_procs
-    if initial_pairs is not None:
-        pairs = [set(pair_set) for pair_set in initial_pairs]
-    else:
-        pairs = [set() for _ in range(num_procs)]
+    if partner is None:
+        partner = [{} for _ in range(num_procs)]
+        domain = [0] * num_procs
+    procs = resolved.procs
+    sites_of = _ref_sites(resolved)
+    extant: Dict[int, int] = {}
 
-    # The pair sets are mirrored into per-procedure partner masks
-    # (uid -> mask of alias partners) and a domain mask (the key set as
-    # a mask), maintained incrementally.  Membership tests and rule 4's
-    # "every caller pair containing actual_i" become single AND/shift
-    # operations instead of scans over the whole pair set — that scan
-    # made the fixpoint quadratic in the pair count.
-    partner_mask: List[Dict[int, int]] = [{} for _ in range(num_procs)]
-    domain_mask: List[int] = [0] * num_procs
-    for pid in range(num_procs):
-        partners = partner_mask[pid]
-        for pair in pairs[pid]:
-            a, b = tuple(pair)
-            partners[a] = partners.get(a, 0) | (1 << b)
-            partners[b] = partners.get(b, 0) | (1 << a)
-            domain_mask[pid] |= (1 << a) | (1 << b)
-
-    def _add_pair(pid: int, a: int, b: int) -> None:
-        pairs[pid].add(frozenset((a, b)))
-        partners = partner_mask[pid]
-        partners[a] = partners.get(a, 0) | (1 << b)
-        partners[b] = partners.get(b, 0) | (1 << a)
-        domain_mask[pid] |= (1 << a) | (1 << b)
-
-    # Per-site by-reference bindings as uid pairs, derived once — the
-    # worklist revisits a caller many times and the formal/base symbols
-    # never change.
-    sites_by_caller: List[List] = [[] for _ in range(num_procs)]
-    for site in resolved.call_sites:
-        callee = site.callee
-        ref = [
-            (callee.formals[b.position].uid, b.base.uid)
-            for b in site.bindings
-            if b.by_reference
-        ]
-        sites_by_caller[site.caller.pid].append((callee.pid, ref))
-
-    extant_uid_mask: List[int] = [universe.extant_mask(p) for p in resolved.procs]
-
-    # Worklist of pids whose ALIAS set changed (all procs first: rules
-    # 1 and 3 fire without any caller pairs).
-    if seed_pids is not None:
-        worklist = list(seed_pids)
-        queued = [False] * num_procs
-        for pid in worklist:
-            queued[pid] = True
-    else:
-        worklist = list(range(num_procs))
-        queued = [True] * num_procs
-    while worklist:
-        caller_pid = worklist.pop()
-        queued[caller_pid] = False
-        # Rule 5: nested procedures inherit the enclosing procedure's
-        # pairs (every member is still extant one level down).
-        for nested in resolved.procs[caller_pid].nested:
-            new_pairs = pairs[caller_pid] - pairs[nested.pid]
-            if new_pairs:
-                for pair in new_pairs:
-                    a, b = tuple(pair)
-                    _add_pair(nested.pid, a, b)
-                if not queued[nested.pid]:
-                    queued[nested.pid] = True
-                    worklist.append(nested.pid)
-        # Snapshot: on self-recursive sites the caller's and callee's
-        # partner tables are the same object, and rules 2/4 read one
-        # while rule insertions grow the other.  New pairs are picked
-        # up by the worklist requeue.
-        caller_partners = dict(partner_mask[caller_pid])
-        for callee_pid, ref in sites_by_caller[caller_pid]:
-            callee_extant = extant_uid_mask[callee_pid]
-            callee_partners = partner_mask[callee_pid]
-            added = False
-            for index, (formal_uid, actual_uid) in enumerate(ref):
-                formal_partners = callee_partners.get(formal_uid, 0)
-                # Rule 3: actual still extant inside the callee.
-                if (
-                    (callee_extant >> actual_uid) & 1
-                    and actual_uid != formal_uid
-                    and not (formal_partners >> actual_uid) & 1
-                ):
-                    _add_pair(callee_pid, formal_uid, actual_uid)
-                    formal_partners |= 1 << actual_uid
-                    added = True
-                aliased_to_actual = caller_partners.get(actual_uid, 0)
-                # Rules 1 and 2: two actuals aliased in the caller.
-                for formal_j_uid, actual_j_uid in ref[index + 1:]:
-                    same = actual_uid == actual_j_uid
-                    known = (aliased_to_actual >> actual_j_uid) & 1
-                    if (same or known) and formal_uid != formal_j_uid:
-                        if not (formal_partners >> formal_j_uid) & 1:
-                            _add_pair(callee_pid, formal_uid, formal_j_uid)
-                            formal_partners |= 1 << formal_j_uid
-                            added = True
-                # Rule 4: actual aliased in the caller to a variable
-                # still extant inside the callee.  One AND finds every
-                # candidate; only genuinely new pairs are walked.
-                new_bits = (
-                    aliased_to_actual
-                    & callee_extant
-                    & ~formal_partners
-                    & ~(1 << formal_uid)
-                )
-                while new_bits:
-                    low = new_bits & -new_bits
-                    other = low.bit_length() - 1
-                    _add_pair(callee_pid, formal_uid, other)
-                    formal_partners |= low
-                    new_bits ^= low
-                    added = True
-            if added and not queued[callee_pid]:
-                queued[callee_pid] = True
-                worklist.append(callee_pid)
-
-    return AliasResult(
-        resolved=resolved,
-        pairs=pairs,
-        partner_mask=partner_mask,
-        domain_mask=domain_mask,
-    )
-
-
-class LazyPartnerTables:
-    """A list-like view of per-procedure partner tables, materialized
-    per pid on first access from the backing pair sets.
-
-    The incremental alias path carries final pair sets forward by
-    reference; rebuilding every partner table eagerly costs more than
-    the whole warm fixpoint (each entry is a big-int of universe
-    width), while only the procedures the worklist or the per-site
-    factoring actually touches need one.  Entries for procedures whose
-    pairs are re-derived are written through :meth:`materialize` before
-    mutation, so shared state is never modified.
-    """
-
-    def __init__(self, pairs: List[Set[Pair]]):
-        self._pairs = pairs
-        self._tables: Dict[int, Dict[int, int]] = {}
-
-    def __len__(self) -> int:
-        return len(self._pairs)
-
-    def __getitem__(self, pid: int) -> Dict[int, int]:
-        table = self._tables.get(pid)
-        if table is None:
-            table = {}
-            for pair in self._pairs[pid]:
-                a, b = tuple(pair)
-                table[a] = table.get(a, 0) | (1 << b)
-                table[b] = table.get(b, 0) | (1 << a)
-            self._tables[pid] = table
-        return table
-
-    def materialize(self, pid: int, table: Dict[int, int]) -> None:
-        self._tables[pid] = table
-
-
-def compute_aliases_incremental(
-    arena,
-    carried_pairs: List[Optional[Set[Pair]]],
-    carried_domains: Sequence[int],
-    seed_pids: List[int],
-    counter: Optional[OpCounter] = None,
-) -> AliasResult:
-    """Warm alias fixpoint with structural sharing of final pair sets.
-
-    ``carried_pairs[pid]`` is the previous version's final pair set for
-    a procedure outside the forward-affected region — shared **by
-    reference**, never copied: pairs flow caller → callee and parent →
-    nested, so a procedure not forward-reachable from any edit has no
-    path from a changed contribution and its set is already the least
-    fixpoint.  Region procedures pass ``None`` and are re-derived from
-    scratch (which is what makes shrinking edits exact).  Valid only
-    when the uid space is unchanged; the caller falls back to
-    :func:`compute_aliases` with remapped initial pairs otherwise.
-
-    The result is value-identical to a from-scratch
-    :func:`compute_aliases` — the least fixpoint is unique and every
-    carried set already holds its final value.
-    """
-    if counter is None:
-        counter = OpCounter()
-    resolved = arena.resolved
-    universe = arena.universe
-    num_procs = resolved.num_procs
-
-    pairs: List[Set[Pair]] = [
-        set() if carried is None else carried for carried in carried_pairs
-    ]
-    partner_mask = LazyPartnerTables(pairs)
-    domain_mask: List[int] = [
-        0 if carried_pairs[pid] is None else carried_domains[pid]
-        for pid in range(num_procs)
-    ]
-
-    def _add_pair(pid: int, a: int, b: int) -> None:
-        pairs[pid].add(frozenset((a, b)))
-        partners = partner_mask[pid]
-        partners[a] = partners.get(a, 0) | (1 << b)
-        partners[b] = partners.get(b, 0) | (1 << a)
-        domain_mask[pid] |= (1 << a) | (1 << b)
-
-    # Per-caller site decode, lazily, from the arena's flat tables —
-    # the worklist only ever touches the region and its frontier.
-    site_callee = arena.site_callee
-    ref_heads = arena.site_ref_heads
-    ref_formal_uid = arena.ref_formal_uid
-    ref_base_uid = arena.ref_base_uid
-    by_caller: List[List[int]] = [[] for _ in range(num_procs)]
-    for sid, caller_pid in enumerate(arena.site_caller):
-        by_caller[caller_pid].append(sid)
-    site_cache: Dict[int, List] = {}
-
-    def _sites_of(pid: int) -> List:
-        cached = site_cache.get(pid)
-        if cached is None:
-            cached = []
-            for sid in by_caller[pid]:
-                ref = [
-                    (ref_formal_uid[r], ref_base_uid[r])
-                    for r in range(ref_heads[sid], ref_heads[sid + 1])
-                ]
-                cached.append((site_callee[sid], ref))
-            site_cache[pid] = cached
-        return cached
-
-    extant_cache: Dict[int, int] = {}
-
-    def _extant(pid: int) -> int:
-        cached = extant_cache.get(pid)
-        if cached is None:
-            cached = universe.extant_mask(resolved.procs[pid])
-            extant_cache[pid] = cached
-        return cached
-
-    worklist = list(seed_pids)
+    worklist = list(order)
+    worklist.reverse()  # Popped from the end: order[0] goes first.
     queued = [False] * num_procs
     for pid in worklist:
         queued[pid] = True
     while worklist:
         caller_pid = worklist.pop()
         queued[caller_pid] = False
-        for nested in resolved.procs[caller_pid].nested:
-            new_pairs = pairs[caller_pid] - pairs[nested.pid]
-            if new_pairs:
-                for pair in new_pairs:
-                    a, b = tuple(pair)
-                    _add_pair(nested.pid, a, b)
-                if not queued[nested.pid]:
-                    queued[nested.pid] = True
-                    worklist.append(nested.pid)
-        caller_partners = dict(partner_mask[caller_pid])
-        for callee_pid, ref in _sites_of(caller_pid):
-            callee_extant = _extant(callee_pid)
-            callee_partners = partner_mask[callee_pid]
+        caller_table = partner[caller_pid]
+        # Rule 5: nested procedures inherit the enclosing procedure's
+        # pairs, one OR per partner entry (the table is symmetric, so
+        # the merged one is too).
+        if caller_table:
+            for nested in procs[caller_pid].nested:
+                pid = nested.pid
+                table = partner[pid]
+                grew = False
+                for uid, mask in caller_table.items():
+                    have = table.get(uid, 0)
+                    if mask & ~have:
+                        table[uid] = have | mask
+                        grew = True
+                if grew:
+                    domain[pid] |= domain[caller_pid]
+                    if not queued[pid]:
+                        queued[pid] = True
+                        worklist.append(pid)
+        # On a self-recursive site the caller's table is the callee's:
+        # reading pairs added earlier in the same visit is sound (each
+        # is in the least fixpoint), and the requeue covers the rest.
+        for callee_pid, ref in sites_of(caller_pid):
+            callee_extant = extant.get(callee_pid)
+            if callee_extant is None:
+                callee_extant = universe.extant_mask(procs[callee_pid])
+                extant[callee_pid] = callee_extant
+            table = partner[callee_pid]
             added = False
-            for index, (formal_uid, actual_uid) in enumerate(ref):
-                formal_partners = callee_partners.get(formal_uid, 0)
-                if (
-                    (callee_extant >> actual_uid) & 1
-                    and actual_uid != formal_uid
-                    and not (formal_partners >> actual_uid) & 1
-                ):
-                    _add_pair(callee_pid, formal_uid, actual_uid)
-                    formal_partners |= 1 << actual_uid
-                    added = True
-                aliased_to_actual = caller_partners.get(actual_uid, 0)
-                for formal_j_uid, actual_j_uid in ref[index + 1:]:
-                    same = actual_uid == actual_j_uid
-                    known = (aliased_to_actual >> actual_j_uid) & 1
-                    if (same or known) and formal_uid != formal_j_uid:
-                        if not (formal_partners >> formal_j_uid) & 1:
-                            _add_pair(callee_pid, formal_uid, formal_j_uid)
-                            formal_partners |= 1 << formal_j_uid
-                            added = True
-                new_bits = (
-                    aliased_to_actual
-                    & callee_extant
-                    & ~formal_partners
-                    & ~(1 << formal_uid)
-                )
-                while new_bits:
-                    low = new_bits & -new_bits
+            for index, (formal, actual) in enumerate(ref):
+                aliased = caller_table.get(actual, 0)
+                # Rules 3 and 4: the actual, and every variable aliased
+                # to it in the caller, if still extant in the callee.
+                new = ((1 << actual) | aliased) & callee_extant
+                # Rules 1 and 2: a later actual that is the same
+                # variable or aliased to this one in the caller.
+                for formal_j, actual_j in ref[index + 1:]:
+                    if actual_j == actual or (aliased >> actual_j) & 1:
+                        new |= 1 << formal_j
+                have = table.get(formal, 0)
+                new &= ~(have | (1 << formal))
+                if not new:
+                    continue
+                table[formal] = have | new
+                domain[callee_pid] |= new | (1 << formal)
+                bit = 1 << formal
+                while new:
+                    low = new & -new
                     other = low.bit_length() - 1
-                    _add_pair(callee_pid, formal_uid, other)
-                    formal_partners |= low
-                    new_bits ^= low
-                    added = True
+                    table[other] = table.get(other, 0) | bit
+                    new ^= low
+                added = True
             if added and not queued[callee_pid]:
                 queued[callee_pid] = True
                 worklist.append(callee_pid)
 
-    return AliasResult(
-        resolved=resolved,
-        pairs=pairs,
-        partner_mask=partner_mask,
-        domain_mask=domain_mask,
+    return AliasResult(resolved=resolved, partner_mask=partner, domain_mask=domain)
+
+
+def callers_first(arena, pids: Iterable[int]) -> List[int]:
+    """``pids`` callers first when ``arena`` holds a cached call-graph
+    condensation (listed callees first), else highest pid first — the
+    front end numbers procedures in declaration order, and programs
+    mostly declare a callee before its callers.  Never runs a
+    condensation of its own: the pinned per-graph counts stay put."""
+    cached = arena.cached_call_condensation() if arena is not None else None
+    if cached is None:
+        return sorted(pids, reverse=True)
+    wanted = set(pids)
+    return [
+        pid
+        for members in reversed(cached[1])
+        for pid in members
+        if pid in wanted
+    ]
+
+
+def compute_aliases(
+    resolved: ResolvedProgram,
+    universe: VariableUniverse,
+    counter: Optional[OpCounter] = None,
+) -> AliasResult:
+    """``ALIAS(p)`` for every procedure, from scratch: every procedure
+    seeds the worklist (rules 1 and 3 fire without any caller pairs).
+    The alias fixpoint charges no ``counter`` steps."""
+    order = callers_first(peek_arena(resolved), range(resolved.num_procs))
+    return solve_aliases(resolved, universe, order)
+
+
+def compute_aliases_incremental(
+    arena,
+    carried_tables: List[Optional[Dict[int, int]]],
+    carried_domains: Sequence[int],
+    seed_pids: Iterable[int],
+) -> AliasResult:
+    """Warm alias fixpoint over ``arena``'s program with structural
+    sharing of final partner tables.
+
+    ``carried_tables[pid]`` is the previous version's final table for a
+    procedure outside the forward-affected region (remapped into this
+    uid space by the caller when it moved) — shared **by reference**:
+    pairs flow caller → callee and parent → nested, so a procedure not
+    forward-reachable from any edit has no path from a changed
+    contribution, its table already holds the least fixpoint, and the
+    solver never writes it.  Region procedures pass ``None`` and are
+    re-derived from an empty table (which is what makes shrinking edits
+    exact); ``seed_pids`` must cover them and every procedure that
+    feeds them.
+
+    The result is value-identical to a from-scratch
+    :func:`compute_aliases` — the least fixpoint is unique.
+    """
+    partner = [{} if table is None else table for table in carried_tables]
+    domain = [
+        0 if table is None else carried_domains[pid]
+        for pid, table in enumerate(carried_tables)
+    ]
+    return solve_aliases(
+        arena.resolved,
+        arena.universe,
+        callers_first(arena, seed_pids),
+        partner,
+        domain,
     )
 
 
@@ -412,7 +334,7 @@ def factor_aliases_into(
     alias pairs (one expansion step, as the paper specifies)."""
     if counter is None:
         counter = OpCounter()
-    domains = aliases.domains()
+    domains = aliases.domain_mask
     partner_mask = aliases.partner_mask
     result: List[int] = []
     for site in resolved.call_sites:
@@ -443,32 +365,46 @@ def factor_aliases_fused(
     num_kinds: int,
     counters: Sequence[OpCounter],
 ) -> List[List[int]]:
-    """Section 5 step (2) over the per-kind per-site DMOD rows.
+    """Section 5 step (2) over the per-kind per-site DMOD rows."""
+    result: List[List[int]] = [list(row) for row in dmod_rows]
+    factor_aliases_at(
+        result, range(len(arena.site_caller)), arena.site_caller, aliases,
+        counters[:num_kinds],
+    )
+    return result
+
+
+def factor_aliases_at(
+    rows: List[List[int]],
+    sites: Iterable[int],
+    site_caller: Sequence[int],
+    aliases: AliasResult,
+    counters: Sequence[OpCounter],
+) -> None:
+    """Section 5 step (2) in place: at each of ``sites``, expand every
+    kind's row entry (``DMOD(s)`` on entry, ``MOD(s)`` on return) by
+    the caller's alias partners.
 
     The caller decode and domain lookup run once per site and feed
-    every lane; expansion happens lane by lane (the partner tables are
+    every kind; expansion happens kind by kind (the partner tables are
     per-uid), so each kind's counter is charged exactly the legacy
     tally: one bit-vector step per expanded member of that kind's set.
     """
-    domains = aliases.domains()
+    domains = aliases.domain_mask
     partner_mask = aliases.partner_mask
-    site_caller = arena.site_caller
-    num_sites = len(site_caller)
-    result: List[List[int]] = [list(row) for row in dmod_rows]
-    for sid in range(num_sites):
+    for sid in sites:
         caller_pid = site_caller[sid]
         domain = domains[caller_pid]
         if not domain:
             continue
         partners = partner_mask[caller_pid]
-        for k in range(num_kinds):
-            hits = dmod_rows[k][sid] & domain
+        for row, counter in zip(rows, counters):
+            expanded = row[sid]
+            hits = expanded & domain
             if hits:
-                counters[k].bit_vector_steps += hits.bit_count()
-                expanded = result[k][sid]
+                counter.bit_vector_steps += hits.bit_count()
                 while hits:
                     low = hits & -hits
                     expanded |= partners[low.bit_length() - 1]
                     hits ^= low
-                result[k][sid] = expanded
-    return result
+                row[sid] = expanded

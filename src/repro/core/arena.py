@@ -178,6 +178,11 @@ class ProgramArena:
         sections solver, and the shard partitioner."""
         return self._scc_of("call", self.call_csr)
 
+    def cached_call_condensation(self) -> Optional[Tuple[List[int], List[List[int]]]]:
+        """:meth:`call_condensation` if some phase already ran it, else
+        None — never runs (or counts) a condensation of its own."""
+        return self._scc.get("call")
+
     def _condense_full(self, name: str, csr: CSRGraph) -> Condensation:
         cached = self._condensations.get(name)
         if cached is None:

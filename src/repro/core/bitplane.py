@@ -962,7 +962,7 @@ def factor_aliases_numpy(
     """
     np = _np
     arena = ctx.arena
-    domains = aliases.domains()
+    domains = aliases.domain_mask
     partner_mask = aliases.partner_mask
     result = [list(row) for row in dmod_rows]
 

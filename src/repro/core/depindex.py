@@ -39,6 +39,7 @@ import hashlib
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
+from repro.core.aliases import sorted_pairs
 from repro.core.binio import (
     read_bytes,
     read_mask_adaptive,
@@ -304,14 +305,10 @@ def build_dependency_index(summary, arena=None) -> "DependencyIndex":
                 ref_base_uid.append(binding.base.uid)
             site_ref_heads[site.site_id + 1] = len(ref_formal_uid)
 
-    alias_pairs: List[List[Tuple[int, int]]] = []
-    alias_domains: List[int] = []
-    domains = summary.aliases.domains()
-    for pid in range(num_procs):
-        alias_pairs.append(
-            sorted(tuple(sorted(pair)) for pair in summary.aliases.pairs[pid])
-        )
-        alias_domains.append(domains[pid] if pid < len(domains) else 0)
+    alias_pairs: List[List[Tuple[int, int]]] = [
+        sorted_pairs(table) for table in summary.aliases.partner_mask
+    ]
+    alias_domains: List[int] = list(summary.aliases.domain_mask)
 
     gmod_method = ""
     if kind_list:

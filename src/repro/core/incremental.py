@@ -38,8 +38,8 @@ that problem *by condensation region*, driven by a persisted
      procedures *and* the old callees of their (and removed
      procedures') former call sites — a rewired or deleted site starves
      its old callee of pair inflow, so pairs can shrink there; final
-     pair sets outside the cone are carried by reference (copy-on-write;
-     pairs only flow caller → callee and parent → nested);
+     partner tables outside the cone are carried by reference (never
+     written: pairs only flow caller → callee and parent → nested);
    * **DMOD/MOD** — a call site is copied from the index unless its
      caller was edited, its callee's ``GMOD`` changed, or its caller's
      alias pairs changed.
@@ -55,7 +55,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
-from repro.core.aliases import compute_aliases, compute_aliases_incremental
+from repro.core.aliases import compute_aliases_incremental, factor_aliases_at
 from repro.core.arena import (
     ProgramArena,
     get_arena,
@@ -63,7 +63,7 @@ from repro.core.arena import (
     patch_arena,
     peek_arena,
 )
-from repro.core.bitvec import OpCounter, iter_bits
+from repro.core.bitvec import OpCounter, iter_bits, mask_of
 from repro.core.depindex import (
     DependencyIndex,
     build_dependency_index,
@@ -240,15 +240,26 @@ def _remap_mask(mask: int, permutation: Optional[List[int]]) -> int:
     return out
 
 
-def _remap_pairs(pair_set, permutation: List[int]) -> Set:
-    """Translate alias pairs between uid spaces, dropping pairs with a
-    vanished member."""
-    remapped = set()
-    for pair in pair_set:
-        new_uids = [permutation[uid] for uid in pair]
-        if all(uid >= 0 for uid in new_uids) and len(set(new_uids)) == 2:
-            remapped.add(frozenset(new_uids))
+def _remap_table(table: Dict[int, int], permutation: List[int]) -> Dict[int, int]:
+    """Translate a partner table between uid spaces, dropping pairs with
+    a vanished member."""
+    remapped: Dict[int, int] = {}
+    for uid, mask in table.items():
+        new_uid = permutation[uid]
+        if new_uid >= 0:
+            partners = _remap_mask(mask, permutation)
+            if partners:
+                remapped[new_uid] = partners
     return remapped
+
+
+def _pairs_to_table(pairs) -> Dict[int, int]:
+    """A partner table from a persisted ``(a, b)`` pair list."""
+    table: Dict[int, int] = {}
+    for a, b in pairs:
+        table[a] = table.get(a, 0) | (1 << b)
+        table[b] = table.get(b, 0) | (1 << a)
+    return table
 
 
 def _full_resolve(
@@ -281,17 +292,17 @@ def incremental_update_from_index(
     kinds: Iterable[EffectKind] = (EffectKind.MOD, EffectKind.USE),
     dirty_hint: Optional[Iterable[str]] = None,
     reloaded: bool = False,
-    live_alias_pairs=None,
+    live_alias_tables=None,
     live_alias_domains=None,
 ) -> Tuple[SideEffectSummary, UpdateStats]:
     """Re-analyse ``new_resolved`` against a dependency index.
 
     The index is self-contained: this function runs without the old
     program version in memory, which is what keeps the server's
-    ``update`` verb warm across process restarts.  ``live_alias_pairs``
+    ``update`` verb warm across process restarts.  ``live_alias_tables``
     / ``live_alias_domains`` optionally donate the previous summary's
-    in-memory alias state so the copy-on-write path shares sets instead
-    of re-materializing them from the index.
+    partner tables and domain masks, so the copy-on-write path shares
+    them instead of rebuilding them from the index's pair lists.
 
     Returns the new summary — byte-identical to a from-scratch solve —
     and the reuse statistics.
@@ -832,38 +843,29 @@ def incremental_update_from_index(
         affected_fwd = [False] * num_procs
         alias_seeds = set()
 
-    old_alias_sets = live_alias_pairs
-    old_alias_domains = live_alias_domains
-    if old_alias_sets is None:
-        old_alias_sets = [
-            {frozenset(pair) for pair in pairs} for pairs in index.alias_pairs
-        ]
-        old_alias_domains = index.alias_domains
-    if permutation is None:
-        carried: List[Optional[Set]] = [None] * num_procs
-        carried_domains = [0] * num_procs
-        for pid in range(num_procs):
-            old_pid = old_pid_for[pid]
-            if affected_fwd[pid] or old_pid is None:
-                continue
-            carried[pid] = old_alias_sets[old_pid]
-            carried_domains[pid] = old_alias_domains[old_pid]
-        aliases = compute_aliases_incremental(
-            arena, carried, carried_domains, sorted(alias_seeds)
-        )
-    else:
-        initial: List[Set] = [set() for _ in range(num_procs)]
-        for pid in range(num_procs):
-            old_pid = old_pid_for[pid]
-            if affected_fwd[pid] or old_pid is None:
-                continue
-            initial[pid] = _remap_pairs(old_alias_sets[old_pid], permutation)
-        aliases = compute_aliases(
-            new_resolved, universe, initial_pairs=initial,
-            seed_pids=sorted(alias_seeds),
-        )
+    old_tables = live_alias_tables
+    old_domains = live_alias_domains
+    if old_tables is None:
+        old_tables = [_pairs_to_table(pairs) for pairs in index.alias_pairs]
+        old_domains = index.alias_domains
+    carried: List[Optional[Dict[int, int]]] = [None] * num_procs
+    carried_domains = [0] * num_procs
+    for pid in range(num_procs):
+        old_pid = old_pid_for[pid]
+        if affected_fwd[pid] or old_pid is None:
+            continue
+        if permutation is None:
+            carried[pid] = old_tables[old_pid]
+            carried_domains[pid] = old_domains[old_pid]
+        else:
+            carried[pid] = _remap_table(old_tables[old_pid], permutation)
+            carried_domains[pid] = mask_of(carried[pid])
+    aliases = compute_aliases_incremental(
+        arena, carried, carried_domains, sorted(alias_seeds)
+    )
 
     alias_changed: Set[int] = set()
+    new_tables = aliases.partner_mask
     for pid in range(num_procs):
         if not affected_fwd[pid]:
             continue
@@ -871,23 +873,21 @@ def incremental_update_from_index(
         if old_pid is None:
             alias_changed.add(pid)
             continue
-        old_pairs = old_alias_sets[old_pid]
+        old_table = old_tables[old_pid]
         if permutation is not None:
-            old_pairs = _remap_pairs(old_pairs, permutation)
-        if aliases.pairs[pid] != old_pairs:
+            old_table = _remap_table(old_table, permutation)
+        if new_tables[pid] != old_table:
             alias_changed.add(pid)
     timings["aliases"] = time.perf_counter() - t0
 
     # -- DMOD/MOD: copy untouched call sites ----------------------------------
     t0 = time.perf_counter()
     site_local = [arena.site_local(kind) for kind in kind_list]
-    domains = aliases.domains()
-    partner_mask = aliases.partner_mask
     dmod_rows: List[List[int]] = [[0] * num_sites for _ in kind_list]
     mod_rows: List[List[int]] = [[0] * num_sites for _ in kind_list]
     pass_cache: List[Dict[int, int]] = [{} for _ in kind_list]
     sites_reused = 0
-    recomputed_site_callers: Set[int] = set()
+    recomputed_sites: List[int] = []
     for sid in range(num_sites):
         caller_pid = site_caller[sid]
         callee_pid = site_callee[sid]
@@ -903,10 +903,9 @@ def incremental_update_from_index(
                 mod_rows[k][sid] = index.mod[k][old_sid]
             sites_reused += 1
             continue
-        recomputed_site_callers.add(caller_pid)
+        recomputed_sites.append(sid)
         lo = ref_heads[sid]
         hi = ref_heads[sid + 1]
-        domain = domains[caller_pid]
         for k in range(num_kinds):
             cache = pass_cache[k]
             passed = cache.get(callee_pid)
@@ -919,18 +918,13 @@ def incremental_update_from_index(
                 for r in range(lo, hi):
                     if (callee_gmod >> ref_formal_uid[r]) & 1:
                         mask |= 1 << ref_base_uid[r]
-            dmod_rows[k][sid] = mask
-            expanded = mask
-            hits = mask & domain
-            if hits:
-                partners = partner_mask[caller_pid]
-                kind_counters[k].bit_vector_steps += hits.bit_count()
-                while hits:
-                    low = hits & -hits
-                    expanded |= partners[low.bit_length() - 1]
-                    hits ^= low
-            mod_rows[k][sid] = expanded
+            dmod_rows[k][sid] = mod_rows[k][sid] = mask
     timings["dmod"] = time.perf_counter() - t0
+    t0 = time.perf_counter()
+    factor_aliases_at(
+        mod_rows, recomputed_sites, site_caller, aliases, kind_counters
+    )
+    timings["factor"] = time.perf_counter() - t0
 
     solutions: Dict[EffectKind, EffectSolution] = {}
     for k, kind in enumerate(kind_list):
@@ -944,6 +938,7 @@ def incremental_update_from_index(
             gmod_method="incremental",
         )
 
+    recomputed_site_callers = {site_caller[sid] for sid in recomputed_sites}
     affected_union = (
         region_pids | dirty_pid_set | alias_changed | recomputed_site_callers
     )
@@ -1013,6 +1008,6 @@ def incremental_update(
         new_resolved,
         kinds=kinds,
         dirty_hint=dirty_hint,
-        live_alias_pairs=old_summary.aliases.pairs,
-        live_alias_domains=old_summary.aliases.domains(),
+        live_alias_tables=old_summary.aliases.partner_mask,
+        live_alias_domains=old_summary.aliases.domain_mask,
     )

@@ -120,6 +120,10 @@ _T_STRLIST_MASK = 9
 
 _FLOAT = struct.Struct("<d")
 
+#: What decoding a torn or bit-flipped payload can raise: the decoders
+#: index, unpack and recurse over untrusted bytes (and JSON text).
+DECODE_ERRORS = (ValueError, IndexError, OverflowError, RecursionError, struct.error)
+
 
 def summary_to_dict(summary: SideEffectSummary, include_sections: bool = False) -> Dict:
     """A JSON-safe dictionary of every externally meaningful set.
@@ -135,23 +139,7 @@ def summary_to_dict(summary: SideEffectSummary, include_sections: bool = False) 
         "program": resolved.program.name,
         "procedures": {},
         "call_sites": [],
-        # Inner pairs sorted by name: a frozenset's iteration order
-        # depends on its construction history, and the serialized form
-        # must not (a set rebuilt from the dependency index would
-        # otherwise serialize differently than the identical set built
-        # by the alias solver).
-        "aliases": {
-            proc.qualified_name: sorted(
-                sorted(
-                    [
-                        resolved.variables[a].qualified_name,
-                        resolved.variables[b].qualified_name,
-                    ]
-                )
-                for a, b in summary.aliases.pairs_of(proc)
-            )
-            for proc in resolved.procs
-        },
+        "aliases": summary.aliases.name_pairs(),
     }
     if include_sections:
         from repro.core.arena import get_arena

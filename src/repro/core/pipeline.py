@@ -251,6 +251,7 @@ def analyze_side_effects(
             dmod_rows = [
                 bitplane.plane_to_masks(plane) for plane in dmod_planes
             ]
+            tick = _mark("dmod", tick)
             mod_rows = bitplane.factor_aliases_numpy(
                 plane_ctx,
                 dmod_planes,
@@ -259,7 +260,7 @@ def analyze_side_effects(
                 num_kinds,
                 kind_counters,
             )
-            tick = _mark("dmod", tick)
+            tick = _mark("factor", tick)
         else:
             gmod_rows, used_method = _solve_gmod_fused(
                 method, arena, imod_plus_rows, num_kinds, kind_counters
@@ -268,10 +269,11 @@ def analyze_side_effects(
             dmod_rows = compute_dmod_fused(
                 arena, gmod_rows, kind_list, kind_counters
             )
+            tick = _mark("dmod", tick)
             mod_rows = factor_aliases_fused(
                 dmod_rows, aliases, arena, num_kinds, kind_counters
             )
-            tick = _mark("dmod", tick)
+            tick = _mark("factor", tick)
         for k, kind in enumerate(kind_list):
             solutions[kind] = EffectSolution(
                 kind=kind,
@@ -320,8 +322,9 @@ def analyze_side_effects(
             )
             tick = _mark_kind("gmod", kind, tick)
             dmod = compute_dmod(resolved, gmod, universe, kind, kind_counter)
-            mod = factor_aliases_into(dmod, aliases, resolved, kind_counter)
             tick = _mark_kind("dmod", kind, tick)
+            mod = factor_aliases_into(dmod, aliases, resolved, kind_counter)
+            tick = _mark_kind("factor", kind, tick)
             solutions[kind] = EffectSolution(
                 kind=kind,
                 rmod=rmod,

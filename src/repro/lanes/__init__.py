@@ -11,8 +11,8 @@ lanes:
   fused lane (:mod:`repro.lanes.sections_lane`), value-identical to the
   standalone :func:`repro.sections.solver.analyze_sections`;
 * ``refalias`` — a GPG-lite reference-parameter alias lane
-  (:mod:`repro.lanes.refalias`), value-identical to
-  :func:`repro.core.aliases.compute_aliases` and consumable by the
+  (:mod:`repro.lanes.refalias`) that seeds the one alias solver,
+  :func:`repro.core.aliases.solve_aliases`, and is consumable by the
   Section 5 alias factoring.
 
 The Dyck-reachability alias baseline lives under

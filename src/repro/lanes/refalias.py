@@ -1,226 +1,62 @@
 """GPG-lite reference-parameter alias lane.
 
-Computes the Banning introduction-rule fixpoint of
-:mod:`repro.core.aliases` — may-alias pairs for reference formals — as
-a pure **mask lane**: the only state is the per-procedure partner
-tables (uid → mask of may-alias partners over the variable universe)
-and their domain masks, exactly the two structures the Section 5
-factoring step consumes.  Pair sets are derived from the masks on
-demand, never maintained.
-
-The lane is scheduled by the arena's shared call-graph condensation:
-pairs flow caller → callee (rules 1–4) and parent → nested (rule 5),
-so the initial drain visits components in *reverse* condensation order
-(callers first — the condensation lists callees first) and the
-worklist then handles the residue: rule 5 edges follow lexical nesting,
-not call edges, so a topological schedule alone is not sufficient and
-the drain repeats until quiescent.  The least fixpoint is unique, so
-the result is value-identical to :func:`repro.core.aliases.compute_aliases`
-(pinned by the differential sweep), and
-:meth:`RefAliasLaneState.to_alias_result` feeds it straight into
-:func:`repro.core.aliases.factor_aliases_fused`.
+The Banning introduction-rule fixpoint of :mod:`repro.core.aliases` —
+may-alias pairs for reference formals — exposed as an effect lane.  It
+has no solver of its own: :meth:`RefAliasLaneState.solve_down` seeds
+the one alias solver, :func:`repro.core.aliases.solve_aliases`, with
+every procedure in *reverse* order of the arena's shared call-graph
+condensation (callers first — the condensation lists callees first),
+and holds the :class:`~repro.core.aliases.AliasResult` it returns.
+The only state is that result's per-procedure partner tables (uid →
+mask of may-alias partners over the variable universe) and domain
+masks, exactly the two structures the Section 5 factoring step
+consumes; pair sets are derived from the masks on demand.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Set
+from typing import Dict, List, Optional
 
-from repro.core.aliases import AliasResult, Pair
+from repro.core.aliases import AliasResult, solve_aliases
 from repro.core.binio import read_varint, write_varint
 from repro.lanes.spec import LaneSpec, register_lane
 
 
 class RefAliasLaneState:
-    """Mask-lane fixpoint of the Banning alias rules."""
+    """The alias lane: the single alias solver's result."""
 
     direction = "down"
 
     def __init__(self, arena):
         self.arena = arena
         self.resolved = arena.resolved
-        num_procs = self.resolved.num_procs
-        #: Per pid: uid -> mask of may-alias partners on entry.
-        self.partner: List[Dict[int, int]] = [{} for _ in range(num_procs)]
-        #: Per pid: key set of ``partner`` as a mask.
-        self.domain: List[int] = [0] * num_procs
-        self._extant: Dict[int, int] = {}
-
-    def _add(self, pid: int, a: int, b: int) -> None:
-        partners = self.partner[pid]
-        partners[a] = partners.get(a, 0) | (1 << b)
-        partners[b] = partners.get(b, 0) | (1 << a)
-        self.domain[pid] |= (1 << a) | (1 << b)
-
-    def _extant_of(self, pid: int) -> int:
-        cached = self._extant.get(pid)
-        if cached is None:
-            cached = self.arena.universe.extant_mask(self.resolved.procs[pid])
-            self._extant[pid] = cached
-        return cached
+        self.result: Optional[AliasResult] = None
 
     # -- driver hook ---------------------------------------------------------
 
     def solve_down(self, ctx) -> None:
-        """Drain the introduction rules to their least fixpoint,
-        seeded in reverse condensation order (callers first)."""
-        arena = self.arena
-        resolved = self.resolved
-        num_procs = resolved.num_procs
-        partner = self.partner
-        site_callee = arena.site_callee
-        ref_heads = arena.site_ref_heads
-        ref_formal = arena.ref_formal_uid
-        ref_base = arena.ref_base_uid
-        sites_by_caller = ctx.sites_by_caller
-
-        # Per-caller decoded by-reference bindings, built lazily from
-        # the arena's flat tables (same shape the alias solvers use).
-        ref_cache: Dict[int, List] = {}
-
-        def _sites_of(pid: int) -> List:
-            cached = ref_cache.get(pid)
-            if cached is None:
-                cached = []
-                for sid in sites_by_caller[pid]:
-                    ref = [
-                        (ref_formal[r], ref_base[r])
-                        for r in range(ref_heads[sid], ref_heads[sid + 1])
-                    ]
-                    cached.append((site_callee[sid], ref))
-                ref_cache[pid] = cached
-            return cached
-
-        # Callers first: components are emitted callees-first, and a
-        # LIFO drain pops from the end, so pushing the topological
-        # order reversed processes roots before leaves.
-        order = [
-            pid
-            for members in reversed(ctx.components)
-            for pid in members
-        ]
-        worklist = list(reversed(order))
-        queued = [True] * num_procs
-        while worklist:
-            caller_pid = worklist.pop()
-            queued[caller_pid] = False
-            caller_table = partner[caller_pid]
-            # Rule 5: nested procedures inherit the parent's pairs.
-            for nested in resolved.procs[caller_pid].nested:
-                nested_table = partner[nested.pid]
-                added = False
-                for a, mask in caller_table.items():
-                    missing = mask & ~nested_table.get(a, 0)
-                    while missing:
-                        low = missing & -missing
-                        self._add(nested.pid, a, low.bit_length() - 1)
-                        missing ^= low
-                        added = True
-                if added and not queued[nested.pid]:
-                    queued[nested.pid] = True
-                    worklist.append(nested.pid)
-            # Snapshot: self-recursive sites read the caller's table
-            # while rule insertions grow the callee's (same object).
-            caller_partners = dict(caller_table)
-            for callee_pid, ref in _sites_of(caller_pid):
-                callee_extant = self._extant_of(callee_pid)
-                callee_partners = partner[callee_pid]
-                added = False
-                for index, (formal_uid, actual_uid) in enumerate(ref):
-                    formal_partners = callee_partners.get(formal_uid, 0)
-                    # Rule 3: actual still extant inside the callee.
-                    if (
-                        (callee_extant >> actual_uid) & 1
-                        and actual_uid != formal_uid
-                        and not (formal_partners >> actual_uid) & 1
-                    ):
-                        self._add(callee_pid, formal_uid, actual_uid)
-                        formal_partners |= 1 << actual_uid
-                        added = True
-                    aliased_to_actual = caller_partners.get(actual_uid, 0)
-                    # Rules 1 and 2: two actuals aliased in the caller.
-                    for formal_j_uid, actual_j_uid in ref[index + 1:]:
-                        same = actual_uid == actual_j_uid
-                        known = (aliased_to_actual >> actual_j_uid) & 1
-                        if (same or known) and formal_uid != formal_j_uid:
-                            if not (formal_partners >> formal_j_uid) & 1:
-                                self._add(callee_pid, formal_uid, formal_j_uid)
-                                formal_partners |= 1 << formal_j_uid
-                                added = True
-                    # Rule 4: actual aliased in the caller to a
-                    # variable still extant inside the callee.
-                    new_bits = (
-                        aliased_to_actual
-                        & callee_extant
-                        & ~formal_partners
-                        & ~(1 << formal_uid)
-                    )
-                    while new_bits:
-                        low = new_bits & -new_bits
-                        self._add(callee_pid, formal_uid, low.bit_length() - 1)
-                        formal_partners |= low
-                        new_bits ^= low
-                        added = True
-                if added and not queued[callee_pid]:
-                    queued[callee_pid] = True
-                    worklist.append(callee_pid)
+        """Run the alias solver seeded callers first over the shared
+        condensation."""
+        order = [pid for members in reversed(ctx.components) for pid in members]
+        self.result = solve_aliases(self.resolved, self.arena.universe, order)
 
     def finalize(self, ctx) -> None:
         pass
 
     # -- results -------------------------------------------------------------
 
-    def pairs(self) -> List[Set[Pair]]:
-        """Pair sets derived from the partner masks (each pair once)."""
-        out: List[Set[Pair]] = []
-        for table in self.partner:
-            pair_set: Set[Pair] = set()
-            for a, mask in table.items():
-                higher = mask >> (a + 1)
-                base = a + 1
-                while higher:
-                    low = higher & -higher
-                    pair_set.add(frozenset((a, base + low.bit_length() - 1)))
-                    higher ^= low
-            out.append(pair_set)
-        return out
-
-    def to_alias_result(self) -> AliasResult:
-        """The lane's masks in the shape Section 5's factoring
-        consumes — drop-in for :func:`compute_aliases`' result."""
-        return AliasResult(
-            resolved=self.resolved,
-            pairs=self.pairs(),
-            partner_mask=self.partner,
-            domain_mask=list(self.domain),
-        )
-
     def to_payload(self) -> Dict:
         """JSON-safe lane block: per-procedure sorted name pairs (the
         exact shape of the summary payload's ``aliases`` block) plus
         mask-level totals."""
-        resolved = self.resolved
-        variables = resolved.variables
-        pairs = {}
-        total = 0
-        for proc, pair_set in zip(resolved.procs, self.pairs()):
-            total += len(pair_set)
-            pairs[proc.qualified_name] = sorted(
-                sorted(
-                    [
-                        variables[a].qualified_name,
-                        variables[b].qualified_name,
-                    ]
-                )
-                for a, b in pair_set
-            )
         return {
-            "pairs": pairs,
-            "total_pairs": total,
-            "domain_procs": sum(1 for mask in self.domain if mask),
+            "pairs": self.result.name_pairs(),
+            "total_pairs": self.result.total_pairs(),
+            "domain_procs": sum(1 for mask in self.result.domain_mask if mask),
         }
 
     def to_blob(self) -> bytes:
-        return refalias_tables_to_blob(self.partner)
+        return refalias_tables_to_blob(self.result.partner_mask)
 
 
 # -- trailer-section codec (shared with core/persist.py) ---------------------

@@ -37,6 +37,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Optional
 
 from repro.core.persist import (
+    DECODE_ERRORS,
     FORMAT_VERSION,
     encode_summary_payload,
     load_summary_payload_file,
@@ -112,7 +113,7 @@ def validate_record_blob(key: str, blob: bytes) -> Optional[Dict]:
     junk, the client refuses to trust a server it didn't write to."""
     try:
         record = loads_summary_payload(blob)
-    except ValueError:
+    except DECODE_ERRORS:
         return None
     if (
         not isinstance(record, dict)
@@ -158,7 +159,7 @@ class SummaryCache:
                 record = load_summary_payload_file(path)
             except OSError:
                 continue
-            except ValueError:
+            except DECODE_ERRORS:
                 self.stats.invalid += 1
                 continue
             if not isinstance(record, dict):

@@ -36,7 +36,11 @@ Key-by-key:
 * ``schema`` — :data:`STATS_SCHEMA_VERSION` this document conforms to.
 * ``corpus`` — file/outcome counts plus summed program sizes.
 * ``phases`` — per-phase wall seconds, summed over *analyzed* (non-
-  cached) files; includes ``lane.<name>`` entries when lanes ran.
+  cached) files: ``lex``/``parse``/``resolve`` (summed as
+  ``compile``), ``graphs``, ``aliases`` (the alias fixpoint), ``rmod``,
+  ``imod_plus``, ``gmod``, ``dmod`` (equation (2) alone), ``factor``
+  (the Section 5 ``DMOD`` → ``MOD`` alias step), ``total``, plus
+  ``lane.<name>`` entries when lanes ran.
 * ``ops`` — the paper's operation tallies, summed likewise.
 * ``cache`` — local summary-cache accounting, or null without a cache.
 * ``fleet`` — fleet coordinator snapshot, or null off-fleet.

@@ -1007,8 +1007,9 @@ def analyze_side_effects_sharded(
             gmod_stats.accumulate(stats)
             tick = _mark("gmod", tick)
             dmod = compute_dmod(resolved, gmod, universe, kind, counter)
-            mod = factor_aliases_into(dmod, aliases, resolved, counter)
             tick = _mark("dmod", tick)
+            mod = factor_aliases_into(dmod, aliases, resolved, counter)
+            tick = _mark("factor", tick)
             solutions[kind] = EffectSolution(
                 kind=kind,
                 rmod=rmod,

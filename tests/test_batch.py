@@ -119,6 +119,48 @@ class TestCache:
         assert report.cached_count == 0
 
 
+class TestCorruptRecords:
+    """Every decode failure of a cache record is an invalid entry (a
+    miss), never an exception — truncations and byte flips alike."""
+
+    def test_mutants_are_misses_or_payloads(self, tmp_path):
+        import random
+
+        from repro.core.pipeline import analyze_source_payload
+        from repro.lang.pretty import pretty
+        from repro.service.cache import (
+            SummaryCache,
+            encode_record,
+            validate_record_blob,
+        )
+        from repro.workloads.generator import generate_program
+
+        source = pretty(generate_program(GeneratorConfig(seed=5, num_procs=40)))
+        key = "k" * 64
+        blob = encode_record(key, analyze_source_payload(source))
+        cache = SummaryCache(str(tmp_path))
+        rng = random.Random(7)
+        misses = 0
+        for index in range(150):
+            data = bytearray(blob)
+            if index % 3 == 0:
+                del data[rng.randrange(len(data)):]
+            else:
+                for _ in range(rng.randint(1, 4)):
+                    data[rng.randrange(len(data))] = rng.randrange(256)
+            result = validate_record_blob(key, bytes(data))
+            assert result is None or isinstance(result, dict)
+            with open(cache.path_for(key), "wb") as handle:
+                handle.write(data)
+            invalid = cache.stats.invalid
+            cached = cache.get(key)
+            if cached is None:
+                misses += 1
+                assert cache.stats.invalid > invalid
+        # The mutants do reach the decoder's failure paths.
+        assert misses > 0
+
+
 class TestCacheBound:
     """The ``max_entries`` LRU bound on the disk summary cache."""
 

@@ -5,7 +5,9 @@ generator programs that sweep nesting depth, recursion, and aliasing
 density, the pipeline's GMOD/DMOD/MOD sets must be *identical* under
 ``figure2``, ``multilevel``, and ``per-level``, and must equal both
 the closed-form reference (:func:`solve_equation4_reference`) and the
-iterative Kam–Ullman fixed points of :mod:`repro.baselines.iterative`.
+iterative Kam–Ullman fixed points of :mod:`repro.baselines.iterative`,
+and the alias pairs must equal a naive round-robin application of
+Banning's rules (:func:`tests.helpers.naive_alias_pairs`).
 Any fast-path optimisation that changes an answer fails here first.
 
 ``figure2`` is stated by the paper for two-level programs only (the
@@ -24,6 +26,8 @@ from repro.baselines.iterative import solve_direct_equation1, solve_gmod_iterati
 from repro.core.pipeline import analyze_side_effects
 from repro.core.varsets import EffectKind
 from repro.workloads.generator import GeneratorConfig, generate_resolved
+
+from tests.helpers import naive_alias_pairs
 
 MULTILEVEL_METHODS = ("multilevel", "per-level")
 
@@ -72,6 +76,7 @@ def test_all_solvers_agree(config):
         method: analyze_side_effects(resolved, gmod_method=method)
         for method in methods
     }
+    assert reference.aliases.pairs == naive_alias_pairs(resolved), "ALIAS"
     for kind in (EffectKind.MOD, EffectKind.USE):
         oracle = reference.solutions[kind]
         for method, summary in fast.items():

@@ -56,6 +56,8 @@ from repro.lang.pretty import pretty
 from repro.lang.semantic import compile_source
 from repro.workloads.generator import GeneratorConfig, generate_program
 
+from tests.helpers import naive_alias_pairs
+
 
 def _walk_bodies(program):
     """Yield every statement list in the program (proc bodies, nested
@@ -273,6 +275,8 @@ def test_edit_sequence_oracle(config, seed):
             step, op, config.seed, seed)
         assert got == fused, "fused-path divergence at " + context
         assert got == legacy, "legacy-path divergence at " + context
+        assert summary.aliases.pairs == naive_alias_pairs(summary.resolved), (
+            "alias divergence at " + context)
         assert stats.total_procs == summary.resolved.num_procs
 
 

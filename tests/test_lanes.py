@@ -6,7 +6,7 @@ Three pillars, matching the lane framework's contract:
   multi-lane driver, must be *value-identical* to its standalone
   reference solver across the 30-program differential sweep and the
   corpus/fuzz programs (sections vs :func:`analyze_sections`, refalias
-  vs :func:`compute_aliases`);
+  vs a naive round-robin application of Banning's rules);
 * **one condensation** — an N-lane fused run performs exactly one
   Tarjan-equivalent pass per graph (counter-asserted, including with a
   third synthetic lane registered just for the test);
@@ -27,9 +27,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.baselines.dyck import compare_precision, compute_dyck_aliases
-from repro.core.aliases import compute_aliases, factor_aliases_fused
+from repro.core.aliases import factor_aliases_fused
 from repro.core.arena import clear_arena_cache, get_arena
-from repro.core.bitvec import OpCounter
+from repro.core.bitvec import OpCounter, mask_of
 from repro.core.pipeline import analyze_side_effects, payload_from_summary
 from repro.core.varsets import EffectKind
 from repro.lanes import (
@@ -52,6 +52,7 @@ from repro.sections.solver import analyze_sections
 from repro.workloads import corpus
 from repro.workloads.generator import GeneratorConfig, generate_resolved
 
+from tests.helpers import naive_alias_pairs
 from tests.test_differential import CONFIGS, _config_id
 
 ALL_LANES = ("sections", "refalias", "sections-use")
@@ -87,14 +88,16 @@ def _assert_lanes_match_reference(resolved, summary):
     assert use_lane.site_sections == use_reference.site_sections
     assert use_lane.to_payload()["kind"] == EffectKind.USE.value
 
-    # Refalias lane vs Banning pair propagation.
-    ref_lane = summary.lanes["refalias"]
-    oracle = compute_aliases(resolved, summary.universe)
-    assert ref_lane.partner == oracle.partner_mask
-    assert list(ref_lane.domain) == list(oracle.domain_mask)
-    assert ref_lane.pairs() == oracle.pairs
-    # And the pipeline's own aliases (whatever path produced them).
-    assert ref_lane.pairs() == summary.aliases.pairs
+    # Refalias lane and the pipeline's own aliases vs the naive
+    # round-robin application of Banning's rules.
+    lane_aliases = summary.lanes["refalias"].result
+    oracle = naive_alias_pairs(resolved)
+    assert lane_aliases.pairs == oracle
+    assert summary.aliases.pairs == oracle
+    assert lane_aliases.partner_mask == summary.aliases.partner_mask
+    assert lane_aliases.domain_mask == [
+        mask_of(table) for table in summary.aliases.partner_mask
+    ]
 
 
 @pytest.mark.parametrize("config", CONFIGS, ids=_config_id)
@@ -237,7 +240,7 @@ class TestRefAliasFactoring:
         )
         clear_arena_cache()
         summary = analyze_side_effects(resolved, lanes=("refalias",))
-        lane_aliases = summary.lanes["refalias"].to_alias_result()
+        lane_aliases = summary.lanes["refalias"].result
         arena = get_arena(resolved)
         solution = summary.solutions[EffectKind.MOD]
         counters = [OpCounter()]
@@ -264,7 +267,7 @@ class TestLanePersistence:
 
     def test_refalias_blob_roundtrip(self):
         _resolved, summary = self._laned_summary()
-        partner = summary.lanes["refalias"].partner
+        partner = summary.lanes["refalias"].result.partner_mask
         blob = refalias_tables_to_blob(partner)
         assert refalias_tables_from_blob(blob) == partner
 
@@ -288,7 +291,7 @@ class TestLanePersistence:
         }
         decoded = decode_lane_sections(sections)
         assert decoded["sections"] == summary.lanes["sections"].to_payload()
-        assert decoded["refalias"] == summary.lanes["refalias"].partner
+        assert decoded["refalias"] == summary.lanes["refalias"].result.partner_mask
         assert (decoded["sections-use"]
                 == summary.lanes["sections-use"].to_payload())
         assert decoded["sections-use"]["kind"] == "use"

@@ -27,6 +27,7 @@ from repro.server import (
 )
 from repro.server.lru import LRUCache
 from repro.server.metrics import LatencyHistogram
+from repro.server.protocol import ProtocolError
 from repro.service.batch import run_batch
 from repro.workloads import patterns
 from repro.workloads.generator import GeneratorConfig, generate_program
@@ -126,6 +127,18 @@ class TestProtocol:
                 assert response["error"]["code"] == "payload_too_large"
                 # Framing is unrecoverable: the server hangs up.
                 assert reader.readline() == b""
+
+    def test_oversized_reply_raises_typed_error(self, server):
+        client = ServerClient(port=server.port, max_payload=64)
+        try:
+            with pytest.raises(ProtocolError) as excinfo:
+                client.request_raw("analyze", source=patterns.chain(3))
+            assert excinfo.value.code == "payload_too_large"
+            assert "max_payload cap of 64 bytes" in str(excinfo.value)
+            # The half-read reply desynchronised the stream: closed.
+            assert client._file.closed
+        finally:
+            client.close()
 
 
 class TestAnalyze:
